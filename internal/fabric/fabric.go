@@ -221,6 +221,13 @@ type Fabric struct {
 
 	tr *trace.Tracer // nil = untraced
 
+	// Handles on tr, resolved on first use so tracks and metrics are
+	// created in the same order as by name lookups at every emission.
+	nicTracks []*trace.Track // by node id
+	xferCtr   *trace.Counter // fabric.transfers
+	bytesCtr  *trace.Counter // fabric.wire_bytes
+	sizeHist  *trace.Histogram
+
 	// Real-clock backend (see real.go): per-NIC egress goroutines,
 	// nil on virtual sims.
 	rnics  []*realNIC
@@ -302,14 +309,26 @@ func (f *Fabric) FaultStats() FaultStats {
 // host-observed call time — and fault injections and reliable-delivery
 // activity emit instants. NIC-side emissions cost nothing in virtual
 // time: they model the free visibility only the simulator has.
-func (f *Fabric) SetTrace(t *trace.Tracer) { f.tr = t }
+func (f *Fabric) SetTrace(t *trace.Tracer) {
+	f.tr = t
+	f.nicTracks = nil
+	f.xferCtr, f.bytesCtr, f.sizeHist = nil, nil, nil
+}
 
 // nicTrack returns node id's trace track (nil when untraced).
 func (f *Fabric) nicTrack(id NodeID) *trace.Track {
 	if f.tr == nil {
 		return nil
 	}
-	return f.tr.Track(trace.GroupNIC, int(id), fmt.Sprintf("nic%d", id))
+	if f.nicTracks == nil {
+		f.nicTracks = make([]*trace.Track, len(f.nics))
+	}
+	tk := f.nicTracks[id]
+	if tk == nil {
+		tk = f.tr.Track(trace.GroupNIC, int(id), fmt.Sprintf("nic%d", id))
+		f.nicTracks[id] = tk
+	}
+	return tk
 }
 
 // Nodes returns the number of nodes.
@@ -361,10 +380,15 @@ func (f *Fabric) record(t Transfer) {
 			// the trace's NIC spans equal Transfers() exactly.
 			f.nicTrack(t.Src).Span("wire", "xfer", t.Start, t.End,
 				trace.Args{Peer: int(t.Dst), Size: int64(t.Size), ID: t.XferID, Phase: t.Phase})
-			m := f.tr.Metrics()
-			m.Counter("fabric.transfers").Inc()
-			m.Counter("fabric.wire_bytes").Add(int64(t.Size))
-			m.Histogram("fabric.xfer_size", xferSizeBounds()).Observe(int64(t.Size))
+			if f.xferCtr == nil {
+				m := f.tr.Metrics()
+				f.xferCtr = m.Counter("fabric.transfers")
+				f.bytesCtr = m.Counter("fabric.wire_bytes")
+				f.sizeHist = m.Histogram("fabric.xfer_size", xferSizeBounds())
+			}
+			f.xferCtr.Inc()
+			f.bytesCtr.Add(int64(t.Size))
+			f.sizeHist.Observe(int64(t.Size))
 		}
 	}
 }

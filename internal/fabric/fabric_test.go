@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"ovlp/internal/trace"
 	"ovlp/internal/vtime"
 )
 
@@ -13,6 +14,32 @@ func twoNodes(t *testing.T) (*vtime.Sim, *Fabric) {
 	t.Helper()
 	sim := vtime.NewSim()
 	return sim, New(sim, 2, DefaultCostModel())
+}
+
+// The fabric caches its NIC tracks and metric handles; attaching a new
+// tracer must send later emissions to it, not to the old one.
+func TestTraceHandlesFollowSetTrace(t *testing.T) {
+	sim, f := twoNodes(t)
+	send := func() {
+		sim.Spawn("send", func(p *vtime.Proc) {
+			f.NIC(0).Send(p, 1, 4096, f.NewXferID(), nil)
+		})
+		sim.Run()
+	}
+	tracers := []*trace.Tracer{trace.New(trace.Options{}), trace.New(trace.Options{})}
+	for _, tr := range tracers {
+		f.SetTrace(tr)
+		send()
+	}
+	for i, tr := range tracers {
+		m := tr.Metrics()
+		if n, b := m.Counter("fabric.transfers").Value(), m.Counter("fabric.wire_bytes").Value(); n != 1 || b != 4096 {
+			t.Errorf("tracer %d: %d transfers, %d bytes; want 1, 4096", i, n, b)
+		}
+		if tks := tr.Tracks(); len(tks) != 1 || tks[0].Name() != "nic0" || len(tks[0].Recs()) != 1 {
+			t.Errorf("tracer %d: tracks %v, want one nic0 track with one record", i, tks)
+		}
+	}
 }
 
 func TestSendDeliversPayload(t *testing.T) {

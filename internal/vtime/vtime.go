@@ -3,16 +3,29 @@
 //
 // A Sim owns a virtual clock and an event heap. Work is performed by
 // procs — goroutines that run in a strict coroutine discipline: at any
-// instant exactly one goroutine (the scheduler or a single proc) is
+// instant exactly one goroutine (RunE's or a single proc's) is
 // executing, so every run of a given program is bit-for-bit
 // reproducible. Events that fire at the same virtual time execute in
 // the order they were scheduled.
+//
+// There is no scheduler goroutine. Control is a baton passed from
+// proc to proc: the proc that blocks runs the event loop itself until
+// an event makes some proc runnable, then hands the baton straight to
+// that proc with a single channel send — or simply keeps running when
+// the runnable proc is itself. The baton returns to RunE only when the
+// run is over (the heap empties, the deadline fires, or a proc or
+// callback panics).
 //
 // Procs model computation by calling Compute, which advances the
 // virtual clock without consuming real CPU time proportional to the
 // modelled duration, and synchronize through Park/Unpark (a permit
 // semaphore in the style of LockSupport) or through callbacks
-// scheduled with After.
+// scheduled with After. The resume events of Compute and Unpark carry
+// a kind and a proc rather than a closure, and every fired or
+// cancelled event is recycled through a free list, so blocking
+// allocates nothing. A recycled event gets a fresh sequence number;
+// holders of an old reference (an AfterCancel cancel func, a proc's
+// pending Compute timer) compare it before touching the event.
 //
 // The kernel is the substrate for the fabric, mpi and armci packages:
 // NIC DMA engines are event chains, ranks are procs, and the overlap
@@ -20,7 +33,6 @@
 package vtime
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 	"sync"
@@ -42,36 +54,81 @@ func (t Time) Sub(u Time) time.Duration { return time.Duration(t - u) }
 
 func (t Time) String() string { return time.Duration(t).String() }
 
-// event is a scheduled callback. Events are ordered by (at, seq) so
-// that simultaneous events run in scheduling order. A cancelled event
-// is skipped without advancing the clock, so stale timers (e.g. a
-// retransmission timeout whose acknowledgment arrived) never stretch
-// the simulated duration.
+// evKind selects what firing an event does.
+type evKind uint8
+
+const (
+	evFunc    evKind = iota // run fn
+	evCompute               // end p's Compute
+	evUnpark                // resume parked p if its permit still stands
+)
+
+// event is a scheduled kernel action. Events are ordered by (at, seq)
+// so that simultaneous events run in scheduling order. A cancelled
+// event is skipped without advancing the clock, so stale timers (e.g.
+// a retransmission timeout whose acknowledgment arrived) never stretch
+// the simulated duration. Fired and skipped events are zeroed and
+// reused, so seq also identifies one use of an event.
 type event struct {
 	at        Time
 	seq       uint64
-	fn        func()
+	kind      evKind
+	p         *Proc  // evCompute, evUnpark
+	fn        func() // evFunc
 	cancelled bool
 }
 
+// eventHeap is a binary min-heap of events in (at, seq) order. Keys
+// are unique, so the pop order does not depend on the heap's layout.
 type eventHeap []*event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
+func (e *event) before(f *event) bool {
+	return e.at < f.at || (e.at == f.at && e.seq < f.seq)
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+
+func (h *eventHeap) push(e *event) {
+	q := append(*h, e)
+	i := len(q) - 1
+	for i > 0 {
+		up := (i - 1) / 2
+		if !e.before(q[up]) {
+			break
+		}
+		q[i] = q[up]
+		i = up
+	}
+	q[i] = e
+	*h = q
+}
+
+func (h *eventHeap) pop() *event {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = nil
+	q = q[:n]
+	*h = q
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && q[r].before(q[c]) {
+			c = r
+		}
+		if !q[c].before(last) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	q[i] = last
+	return top
 }
 
 // procState describes what a proc is currently doing; it is reported
@@ -109,7 +166,7 @@ func (s procState) String() string {
 // no locking; it must not call back into the kernel (no Compute, Park
 // or scheduling) — observation is free in virtual time.
 type Observer interface {
-	// ProcBlocked fires when p yields to the scheduler: state is the
+	// ProcBlocked fires when p gives up control: state is the
 	// blocked state ("computing", "parked"), where the blocking call
 	// site label.
 	ProcBlocked(p *Proc, state, where string)
@@ -150,10 +207,14 @@ type Sim struct {
 	deadline Time // 0 = no watchdog
 	obs      Observer
 
-	yield   chan struct{} // proc -> scheduler: I blocked or finished
-	current *Proc         // proc currently executing, nil in scheduler context
+	free []*event // recycled events
+	next *Proc    // proc made runnable by the event being fired
 
-	panicked any // panic value captured from a proc
+	yield   chan struct{} // proc -> RunE: the run is over
+	current *Proc         // proc currently executing, nil in event context
+
+	panicked any   // panic value captured from a proc or callback
+	err      error // *DeadlockError when the run wedged
 	running  bool
 
 	// rt is non-nil for real-clock sims (see real.go): procs run as
@@ -198,8 +259,9 @@ type Proc struct {
 	blockedSince Time   // for deadlock dumps
 	blockedAt    string // label of the blocking call site
 
-	killed   error  // pending Kill, delivered as a panic at the next resume
-	resumeEv *event // pending Compute timer, cancelled by Kill
+	killed    error  // pending Kill, delivered as a panic at the next resume
+	resumeEv  *event // pending Compute timer, cancelled by Kill
+	resumeSeq uint64 // resumeEv's seq, guarding against a recycled event
 
 	cond *sync.Cond // real mode: wakes the proc's Park; waits on rt.mu
 }
@@ -233,12 +295,12 @@ func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
 	}
 	s.procs = append(s.procs, p)
 	s.live++
-	s.schedule(s.now, func() { s.startProc(p, fn) })
+	s.schedule(s.now, evFunc, nil, func() { s.startProc(p, fn) })
 	return p
 }
 
-// startProc launches the proc goroutine and transfers control to it.
-// Runs in scheduler context.
+// startProc launches the proc goroutine and makes it runnable. Runs
+// in event context.
 func (s *Sim) startProc(p *Proc, fn func(p *Proc)) {
 	go func() {
 		<-p.resume // wait for first dispatch
@@ -257,7 +319,12 @@ func (s *Sim) startProc(p *Proc, fn func(p *Proc)) {
 			if s.obs != nil {
 				s.obs.ProcDone(p)
 			}
-			s.yield <- struct{}{}
+			s.current = nil
+			var next *Proc
+			if s.panicked == nil {
+				next = s.procLoop()
+			}
+			s.pass(next)
 		}()
 		if s.obs != nil {
 			s.obs.ProcResumed(p)
@@ -272,36 +339,121 @@ func (s *Sim) startProc(p *Proc, fn func(p *Proc)) {
 	s.dispatch(p)
 }
 
-// dispatch hands control to p and waits until it blocks or finishes.
-// Must run in scheduler context (or transitively from it).
+// dispatch makes p the proc the event loop hands control to once the
+// current event returns. Must run in event context.
 func (s *Sim) dispatch(p *Proc) {
 	if p.state == stateDone {
 		return // proc was killed while a stale resume event was in flight
 	}
-	prev := s.current
-	s.current = p
-	p.state = stateRunning
-	p.resume <- struct{}{}
-	<-s.yield
-	s.current = prev
-	if pv := s.panicked; pv != nil {
-		s.panicked = nil
-		panic(pv)
-	}
+	s.next = p
 }
 
-// schedule enqueues fn to run at time at in scheduler context.
-func (s *Sim) schedule(at Time, fn func()) *event {
+// schedule enqueues an event at time at, reusing a recycled one when
+// the free list has any.
+func (s *Sim) schedule(at Time, kind evKind, p *Proc, fn func()) *event {
 	if at < s.now {
 		panic(fmt.Sprintf("vtime: scheduling event in the past: %v < %v", at, s.now))
 	}
 	s.seq++
-	e := &event{at: at, seq: s.seq, fn: fn}
-	heap.Push(&s.events, e)
+	var e *event
+	if n := len(s.free); n > 0 {
+		e = s.free[n-1]
+		s.free = s.free[:n-1]
+	} else {
+		e = new(event)
+	}
+	*e = event{at: at, seq: s.seq, kind: kind, p: p, fn: fn}
+	s.events.push(e)
 	return e
 }
 
-// After schedules fn to run in scheduler context d from now. It may be
+// release zeroes a fired or skipped event and returns it to the free
+// list. Zeroing seq makes every outstanding reference to it stale.
+func (s *Sim) release(e *event) {
+	*e = event{}
+	s.free = append(s.free, e)
+}
+
+// fire releases the popped event e and performs its action.
+func (s *Sim) fire(e *event) {
+	kind, p, fn := e.kind, e.p, e.fn
+	if kind == evCompute && p.resumeEv == e {
+		p.resumeEv = nil
+	}
+	s.release(e)
+	switch kind {
+	case evFunc:
+		fn()
+	case evCompute:
+		s.dispatch(p)
+	case evUnpark:
+		if p.state == stateParked && p.permit {
+			p.permit = false
+			s.dispatch(p)
+		}
+	}
+}
+
+// loop fires events until one makes a proc runnable and returns that
+// proc. It returns nil when the run is over: the heap is exhausted or
+// the deadline expired, and s.err says whether procs were left
+// blocked. It runs on whichever goroutine holds control: RunE's before
+// the first handoff, afterwards the goroutine of the proc that just
+// blocked or finished.
+func (s *Sim) loop() *Proc {
+	for len(s.events) > 0 {
+		e := s.events.pop()
+		if e.cancelled {
+			s.release(e) // skipped without advancing the clock
+			continue
+		}
+		if e.at < s.now {
+			panic("vtime: time went backwards")
+		}
+		if s.deadline > 0 && e.at >= s.deadline && s.live > 0 {
+			s.now = s.deadline
+			s.deadlock(fmt.Sprintf("deadline %v expired", s.deadline))
+			return nil
+		}
+		s.now = e.at
+		s.fire(e)
+		if p := s.next; p != nil {
+			s.next = nil
+			return p
+		}
+	}
+	if s.live > 0 {
+		s.deadlock("no pending events")
+	}
+	return nil
+}
+
+// procLoop is loop on a proc's goroutine. A panic from an event
+// callback ends the run rather than unwinding the proc's stack, where
+// a recovering defer in the proc body would swallow it.
+func (s *Sim) procLoop() (next *Proc) {
+	defer func() {
+		if r := recover(); r != nil {
+			s.panicked = r
+			next = nil
+		}
+	}()
+	return s.loop()
+}
+
+// pass hands control from the calling proc's goroutine to next, or
+// back to RunE when next is nil because the run is over.
+func (s *Sim) pass(next *Proc) {
+	if next == nil {
+		s.yield <- struct{}{}
+		return
+	}
+	s.current = next
+	next.state = stateRunning
+	next.resume <- struct{}{}
+}
+
+// After schedules fn to run in event context d from now. It may be
 // called from any simulation context. fn must not block; to perform
 // blocking work, have fn Unpark a proc or Spawn one.
 func (s *Sim) After(d time.Duration, fn func()) {
@@ -312,14 +464,15 @@ func (s *Sim) After(d time.Duration, fn func()) {
 		s.afterReal(d, fn)
 		return
 	}
-	s.schedule(s.now.Add(d), fn)
+	s.schedule(s.now.Add(d), evFunc, nil, fn)
 }
 
 // AfterCancel is After returning a cancel function. A cancelled event
 // is discarded without running and — unlike an event that fires as a
 // no-op — without advancing the virtual clock, so speculative timers
 // (retransmission timeouts, watchdogs) do not distort the measured run
-// duration. Cancelling twice, or after the event fired, is a no-op.
+// duration. Cancelling twice, or after the event fired, is a no-op:
+// the seq check keeps a late cancel off the recycled event.
 func (s *Sim) AfterCancel(d time.Duration, fn func()) (cancel func()) {
 	if d < 0 {
 		panic("vtime: negative delay")
@@ -327,24 +480,37 @@ func (s *Sim) AfterCancel(d time.Duration, fn func()) (cancel func()) {
 	if s.rt != nil {
 		return s.afterReal(d, fn)
 	}
-	e := s.schedule(s.now.Add(d), fn)
-	return func() { e.cancelled = true }
+	e := s.schedule(s.now.Add(d), evFunc, nil, fn)
+	seq := e.seq
+	return func() {
+		if e.seq == seq {
+			e.cancelled = true
+		}
+	}
 }
 
-// block yields from the current proc to the scheduler and waits to be
-// dispatched again. Must be called from the proc's goroutine.
+// block gives up control until the proc is dispatched again. Its
+// goroutine runs the event loop itself; if the loop makes another proc
+// runnable, control passes straight to it. Must be called from the
+// proc's goroutine.
 func (p *Proc) block(st procState, where string) {
+	s := p.sim
 	p.state = st
-	p.blockedSince = p.sim.now
+	p.blockedSince = s.now
 	p.blockedAt = where
-	if p.sim.obs != nil {
-		p.sim.obs.ProcBlocked(p, st.String(), where)
+	if s.obs != nil {
+		s.obs.ProcBlocked(p, st.String(), where)
 	}
-	p.sim.yield <- struct{}{}
-	<-p.resume
+	s.current = nil
+	if next := s.procLoop(); next == p {
+		s.current = p
+	} else {
+		s.pass(next)
+		<-p.resume
+	}
 	p.state = stateRunning
-	if p.sim.obs != nil {
-		p.sim.obs.ProcResumed(p)
+	if s.obs != nil {
+		s.obs.ProcResumed(p)
 	}
 	if p.killed != nil {
 		// Deliver a pending Kill exactly once: the panic unwinds the
@@ -369,14 +535,8 @@ func (p *Proc) Compute(d time.Duration) {
 		p.computeReal(d)
 		return
 	}
-	var ev *event
-	ev = s.schedule(s.now.Add(d), func() {
-		if p.resumeEv == ev {
-			p.resumeEv = nil
-		}
-		s.dispatch(p)
-	})
-	p.resumeEv = ev
+	p.resumeEv = s.schedule(s.now.Add(d), evCompute, p, nil)
+	p.resumeSeq = p.resumeEv.seq
 	p.block(stateComputing, "Compute")
 }
 
@@ -420,12 +580,7 @@ func (p *Proc) Unpark() {
 		if eo, ok := s.obs.(EdgeObserver); ok {
 			eo.ProcUnparked(p, s.current)
 		}
-		s.schedule(s.now, func() {
-			if p.state == stateParked && p.permit {
-				p.permit = false
-				s.dispatch(p)
-			}
-		})
+		s.schedule(s.now, evUnpark, p, nil)
 		return
 	}
 	p.permit = true
@@ -460,7 +615,7 @@ func (p *Proc) Kill(err error) {
 		// Clear any pending permit so a stale Unpark event (which
 		// re-checks state and permit) cannot double-dispatch.
 		p.permit = false
-		s.schedule(s.now, func() {
+		s.schedule(s.now, evFunc, nil, func() {
 			if p.state == stateParked {
 				s.dispatch(p)
 			}
@@ -468,11 +623,11 @@ func (p *Proc) Kill(err error) {
 	case stateComputing:
 		// Cancel the Compute timer so it cannot resume the proc a
 		// second time (or resume a later, unrelated Compute early).
-		if p.resumeEv != nil {
-			p.resumeEv.cancelled = true
-			p.resumeEv = nil
+		if ev := p.resumeEv; ev != nil && ev.seq == p.resumeSeq {
+			ev.cancelled = true
 		}
-		s.schedule(s.now, func() {
+		p.resumeEv = nil
+		s.schedule(s.now, evFunc, nil, func() {
 			if p.state == stateComputing {
 				s.dispatch(p)
 			}
@@ -554,6 +709,7 @@ func (s *Sim) RunE() (t Time, err error) {
 		panic("vtime: Run called reentrantly")
 	}
 	s.running = true
+	s.err = nil
 	defer func() {
 		s.running = false
 		if r := recover(); r != nil {
@@ -565,33 +721,24 @@ func (s *Sim) RunE() (t Time, err error) {
 			t = s.now
 		}
 	}()
-	for len(s.events) > 0 {
-		e := heap.Pop(&s.events).(*event)
-		if e.cancelled {
-			continue // skipped without advancing the clock
-		}
-		if e.at < s.now {
-			panic("vtime: time went backwards")
-		}
-		if s.deadline > 0 && e.at >= s.deadline && s.live > 0 {
-			s.now = s.deadline
-			de := s.deadlockError(fmt.Sprintf("deadline %v expired", s.deadline))
-			if s.obs != nil {
-				s.obs.Deadlock(de)
-			}
-			return s.now, de
-		}
-		s.now = e.at
-		e.fn()
+	if next := s.loop(); next != nil {
+		s.pass(next)
+		<-s.yield
 	}
-	if s.live > 0 {
-		de := s.deadlockError("no pending events")
-		if s.obs != nil {
-			s.obs.Deadlock(de)
-		}
-		return s.now, de
+	if r := s.panicked; r != nil {
+		s.panicked = nil
+		panic(r)
 	}
-	return s.now, nil
+	return s.now, s.err
+}
+
+// deadlock ends the run with a *DeadlockError for reason.
+func (s *Sim) deadlock(reason string) {
+	de := s.deadlockError(reason)
+	if s.obs != nil {
+		s.obs.Deadlock(de)
+	}
+	s.err = de
 }
 
 // Run is RunE for callers that treat failure as fatal: it panics with
